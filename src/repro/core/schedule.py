@@ -10,9 +10,10 @@ the result:
   per-stage critical paths plus NoP transfer latencies (the paper's
   "E2E Lat").
 * **energy / EDP** — compute + NoP energy per frame; EDP uses pipe latency
-  (this matches the paper's Figs. 5-8 and the 36x256 row of Table II; see
-  EXPERIMENTS.md for the one column where the paper's EDP arithmetic is
-  not self-consistent).
+  (this matches the paper's Figs. 5-8 and the 36x256 row of Table II; the
+  paper's EDP arithmetic is not self-consistent in every Table II column,
+  so the Table II bands in ``tests/test_experiments.py`` check pipe
+  latency, utilization and energy, not EDP).
 * **utilization** — useful MACs over all package PE-cycles inside one pipe
   window (steady state).
 """

@@ -135,6 +135,20 @@ def _trunk_accels(scenario: "Scenario") -> tuple[AcceleratorConfig, ...]:
     )
 
 
+def _build_accels(built,
+                  extra_accels: Sequence[AcceleratorConfig] = (),
+                  ) -> tuple[AcceleratorConfig, ...]:
+    """The distinct engines one materialized scenario prices on, in
+    first-seen order: the package's per-chiplet configs, then
+    ``extra_accels``."""
+    accels: dict[AcceleratorConfig, None] = {}
+    for chiplet in built.package.chiplets:
+        accels.setdefault(chiplet.accel)
+    for accel in extra_accels:
+        accels.setdefault(accel)
+    return tuple(accels)
+
+
 def build_pairs(built,
                 extra_accels: Sequence[AcceleratorConfig] = (),
                 ) -> list[Pair]:
@@ -145,13 +159,9 @@ def build_pairs(built,
     packages, one per overridden quadrant otherwise) and any
     ``extra_accels`` (trunk-DSE candidates).
     """
-    accels: dict[AcceleratorConfig, None] = {}
-    for chiplet in built.package.chiplets:
-        accels.setdefault(chiplet.accel)
-    for accel in extra_accels:
-        accels.setdefault(accel)
     layers = built.workload.all_layers()
-    return [(layer, accel) for accel in accels for layer in layers]
+    return [(layer, accel) for accel in _build_accels(built, extra_accels)
+            for layer in layers]
 
 
 def scenario_pairs(scenario: "Scenario", built=None) -> list[Pair]:
@@ -173,10 +183,26 @@ def builds_request(builds: Iterable) -> PricingRequest:
     distinct pairs into a *single* request, so one :func:`price_batch`
     call prices an entire design space — candidates sharing a workload
     or chiplet config are priced once, not once per candidate.
+
+    Builds that cross the *same* workload object with the same engines
+    contribute identical pairs, so each such build class is walked once,
+    at its first build; the request holds the same distinct pairs in
+    the same first-seen order as a walk over every build.  Builds from
+    :func:`~repro.sweep.scenario.build_scenarios` share workload
+    objects, so a design space costs one walk per class, not one per
+    candidate.
     """
     pairs: list[Pair] = []
+    walked: dict[tuple, object] = {}
     for built in builds:
-        pairs.extend(build_pairs(built, _trunk_accels(built.scenario)))
+        accels = _build_accels(built, _trunk_accels(built.scenario))
+        key = (id(built.workload), accels)
+        if key in walked:
+            continue
+        # Holding the workload keeps its id unique for the whole walk.
+        walked[key] = built.workload
+        layers = built.workload.all_layers()
+        pairs.extend((layer, accel) for accel in accels for layer in layers)
     return PricingRequest.from_pairs(pairs)
 
 

@@ -29,11 +29,12 @@ from ..core.dse import best_ranked
 from ..core.placement import default_stage_quadrants
 from ..cost import builds_request, price_batch
 from ..sweep.runner import ScenarioSweep, SweepResult
-from ..sweep.scenario import Scenario, ScenarioBuild
+from ..sweep.scenario import Scenario, ScenarioBuild, build_scenarios
 from .pareto import pareto_indices
 from .space import DesignSpace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..arch import MCMPackage
     from ..cost.batch import Pair
     from ..cost.model import LayerCost
 
@@ -125,6 +126,19 @@ def proxy_objectives(built: ScenarioBuild,
     return pipe_s * 1e3, energy_j
 
 
+def proxy_layout(package: MCMPackage) -> tuple:
+    """Everything of ``package`` that :func:`proxy_objectives` reads.
+
+    The module count and the per-chiplet ``(quadrant, accel)`` layout,
+    in chiplet order.  Candidates with the same workload and layout get
+    bit-identical proxy scores, whatever their NoP bandwidth, topology
+    wiring, DRAM budget, tolerance or het budget — axes the proxy
+    cannot see.
+    """
+    return (package.npus,
+            tuple((cell.quadrant, cell.accel) for cell in package.chiplets))
+
+
 @dataclass
 class DesignSearchResult:
     """Everything one :meth:`DesignSearch.run` produced.
@@ -202,13 +216,25 @@ class DesignSearch:
         self.engine = engine
 
     def run(self) -> DesignSearchResult:
-        scenarios = self.space.candidates()
-        builds = [scenario.build() for scenario in scenarios]
+        # Candidates share workload and package objects, so the request
+        # walks each build class once and the proxy below scores each
+        # proxy class once.  Every memo is local to this call.
+        builds = build_scenarios(self.space.candidates())
         request = builds_request(builds)
         costs = price_batch(request, engine=self.engine)
+        layouts: dict[int, tuple] = {}
+        scores: dict[tuple, tuple[float, float]] = {}
         candidates = []
         for index, built in enumerate(builds):
-            pipe_ms, energy_j = proxy_objectives(built, costs)
+            layout = layouts.get(id(built.package))
+            if layout is None:
+                layout = layouts[id(built.package)] = proxy_layout(
+                    built.package)
+            proxy_class = (id(built.workload), layout)
+            score = scores.get(proxy_class)
+            if score is None:
+                score = scores[proxy_class] = proxy_objectives(built, costs)
+            pipe_ms, energy_j = score
             candidates.append(DesignCandidate(
                 index=index,
                 scenario=built.scenario,

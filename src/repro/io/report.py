@@ -14,7 +14,9 @@ _HEADER = """\
 # Reproduction report
 
 Auto-generated by `chiplet-npu report`.  One section per paper artifact;
-see EXPERIMENTS.md for the paper-vs-measured comparison bands.
+the paper-vs-measured comparison bands are asserted in
+`tests/test_experiments.py`, and the calibrated headline numbers are pinned
+in `tests/test_calibration_snapshot.py`.
 """
 
 

@@ -20,7 +20,10 @@ to the PR 2 engine.
 :meth:`Scenario.build` is the single package-construction path: it
 materializes the ``(workload, package, DramBudget)`` triple every
 scenario implies, so the sweep runner, the experiments, and the CLI all
-agree on how an axis value becomes hardware.
+agree on how an axis value becomes hardware.  It is the one-scenario
+case of :func:`build_scenarios`, which materializes a whole candidate
+set (the design search's) building each distinct workload and package
+once.
 
 :func:`scenario_grid` expands a cartesian grid over those axes — the shape
 of every ablation the paper implies but does not run (tolerance, NoP
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from ..arch import (
     DramBudget,
@@ -375,22 +378,57 @@ class Scenario:
             package = spec.apply(package)
         return package
 
+    def package_axes(self) -> tuple:
+        """Exactly the axes :meth:`package` reads: scenarios with equal
+        tuples materialize equal packages."""
+        return (self.nop_gbps, self.dataflow, self.frequency_ghz,
+                self.native_tile, self.npus, self.topology, self.hetero)
+
     def build(self) -> ScenarioBuild:
         """Materialize the ``(workload, package, DramBudget)`` triple.
 
         The single construction path shared by the sweep runner, the
-        experiments, and the CLI: at default axes it reproduces the PR 2
+        experiments, and the CLI — the one-scenario case of
+        :func:`build_scenarios`.  At default axes it reproduces the PR 2
         hand-rolled ``simba_package(npus=..., nop=...)`` call exactly.
         """
-        config = workload_variant(self.workload)
-        workload = build_perception_workload(config)
-        package = self.package()
-        dram = self.dram_budget()
-        dram_bytes = (workload_dram_bytes(workload, config)
-                      if dram is not None else 0)
-        return ScenarioBuild(scenario=self, config=config,
-                             workload=workload, package=package,
-                             dram=dram, dram_bytes_per_frame=dram_bytes)
+        return build_scenarios((self,))[0]
+
+
+def build_scenarios(scenarios: Iterable[Scenario]) -> list[ScenarioBuild]:
+    """Materialize many scenarios, building each shared piece once.
+
+    Each distinct workload is built once, keyed on its
+    :class:`PipelineConfig` (all :func:`build_perception_workload`
+    reads), and its per-frame DRAM bytes are computed at most once with
+    it; each distinct package is built once, keyed on
+    :meth:`Scenario.package_axes`.  Builds that share a key share the
+    *same* workload and package objects, so callers must treat them as
+    read-only.  The memos live for this one call.
+    """
+    workloads: dict[PipelineConfig, PerceptionWorkload] = {}
+    dram_bytes: dict[PipelineConfig, int] = {}
+    packages: dict[tuple, MCMPackage] = {}
+    builds = []
+    for scenario in scenarios:
+        config = workload_variant(scenario.workload)
+        workload = workloads.get(config)
+        if workload is None:
+            workload = workloads[config] = build_perception_workload(config)
+        axes = scenario.package_axes()
+        package = packages.get(axes)
+        if package is None:
+            package = packages[axes] = scenario.package()
+        dram = scenario.dram_budget()
+        frame_bytes = 0
+        if dram is not None:
+            if config not in dram_bytes:
+                dram_bytes[config] = workload_dram_bytes(workload, config)
+            frame_bytes = dram_bytes[config]
+        builds.append(ScenarioBuild(
+            scenario=scenario, config=config, workload=workload,
+            package=package, dram=dram, dram_bytes_per_frame=frame_bytes))
+    return builds
 
 
 def scenario_grid(

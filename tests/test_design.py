@@ -3,27 +3,37 @@
 Locks the search's load-bearing properties: Pareto dominance math
 (stable order, ties survive), canonical space declaration, the
 optimistic-bound contract of the roofline proxy (pruning never discards
-a design whose materialized metrics meet the target), and the frontier
-report's byte-identity across store temperature and worker counts.
+a design whose materialized metrics meet the target), the frontier
+report's byte-identity across store temperature and worker counts, and
+that sharing builds, the pricing walk and proxy scores across candidates
+changes nothing an unshared search would produce.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import best_ranked
+from repro.cost import PricingRequest, builds_request, price_batch
 from repro.design import (
+    DesignCandidate,
     DesignSearch,
+    DesignSearchResult,
     DesignSpace,
     DesignTargets,
     axis_token,
     dominated_indices,
     dominates,
     pareto_indices,
+    proxy_objectives,
 )
-from repro.sweep import ScenarioSweep, scenario_grid
+from repro.sweep import ScenarioSweep, build_scenarios, scenario_grid
 
 
 def _cold():
@@ -261,3 +271,167 @@ class TestDesignSearch:
         for entry in report["frontier"]:
             has_hetero = entry["scenario"]["hetero"] is not None
             assert ("package_composition" in entry) == has_hetero
+
+
+# ----------------------------------------------------------------------
+# Per-class sharing: the search does each piece of per-class work once
+# ----------------------------------------------------------------------
+
+#: small candidate values per axis; a drawn space crosses up to three
+#: axes of up to two values each (<= 8 candidates).
+_AXIS_VALUES = {
+    "npus": ("1", "2"),
+    "workload": ("default", "lores"),
+    "dataflow": ("os", "ws"),
+    "frequency_ghz": ("none", "1.0", "2.0"),
+    "native_tile": ("none", "8x8"),
+    "dram_gbps": ("none", "6"),
+    "nop_gbps": ("none", "25"),
+    "het_ws_budget": ("none", "4"),
+    "topology": ("none", "torus"),
+    "hetero": ("none", "trunk:ws#4", "trunk:ws"),
+}
+
+
+@st.composite
+def _design_spaces(draw):
+    names = draw(st.lists(st.sampled_from(sorted(_AXIS_VALUES)),
+                          min_size=1, max_size=3, unique=True))
+    return DesignSpace.from_axis_texts({
+        name: ",".join(draw(st.lists(st.sampled_from(_AXIS_VALUES[name]),
+                                     min_size=1, max_size=2, unique=True)))
+        for name in names})
+
+
+def _unshared_search(space: DesignSpace,
+                     targets: DesignTargets) -> DesignSearchResult:
+    """The search with no sharing at all: every candidate gets its own
+    ``Scenario.build()``, its own request and its own proxy call."""
+    builds = [scenario.build() for scenario in space.candidates()]
+    request = PricingRequest.from_pairs(
+        pair for built in builds for pair in builds_request([built]).pairs)
+    costs = price_batch(request)
+    candidates = []
+    for index, built in enumerate(builds):
+        pipe_ms, energy_j = proxy_objectives(built, costs)
+        candidates.append(DesignCandidate(
+            index=index, scenario=built.scenario, proxy_pipe_ms=pipe_ms,
+            proxy_energy_j=energy_j,
+            pruned=not targets.admits(pipe_ms, energy_j)))
+    kept = [c for c in candidates if not c.pruned]
+    frontier = [kept[i] for i in pareto_indices(
+        [(c.proxy_pipe_ms, c.proxy_energy_j) for c in kept])]
+    rows: list[dict] = []
+    sweep = None
+    if frontier:
+        sweep = ScenarioSweep([c.scenario for c in frontier]).run()
+        rows = [sweep.row(c.scenario.key) for c in frontier]
+    return DesignSearchResult(
+        space=space, targets=targets, candidates=candidates,
+        frontier=frontier, rows=rows, priced_pairs=len(request),
+        sweep=sweep)
+
+
+def _bench_design_module():
+    """``benchmarks/bench_design.py`` loaded by path (not a package)."""
+    path = (pathlib.Path(__file__).resolve().parent.parent
+            / "benchmarks" / "bench_design.py")
+    spec = importlib.util.spec_from_file_location("bench_design", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestPerClassSharing:
+    @given(space=_design_spaces(),
+           pipe_target=st.sampled_from([None, 50.0, 200.0]))
+    @settings(max_examples=20, deadline=None)
+    def test_shared_search_equals_unshared_reference(self, space,
+                                                     pipe_target):
+        targets = DesignTargets(pipe_ms=pipe_target)
+        result = DesignSearch(space, targets).run()
+        reference = _unshared_search(space, targets)
+        assert result.candidates == reference.candidates
+        assert result.priced_pairs == reference.priced_pairs
+        assert json.dumps(result.report(), indent=2, sort_keys=True) \
+            == json.dumps(reference.report(), indent=2, sort_keys=True)
+        stats = result.stats()
+        assert stats["pruned"] + stats["dominated"] + stats["frontier"] \
+            == stats["candidates"] == space.size
+        for candidate, row in zip(result.frontier, result.rows):
+            assert candidate.proxy_pipe_ms <= row["pipe_ms"] + 1e-9
+            assert candidate.proxy_energy_j <= row["energy_j"] + 1e-9
+
+    def test_request_matches_a_walk_over_every_build(self):
+        # Same distinct pairs in the same first-seen order, trunk-DSE
+        # engines included, whether or not the builds share objects.
+        space = DesignSpace.from_axis_texts({
+            "dataflow": "os,ws", "het_ws_budget": "none,4",
+            "hetero": "none,trunk:ws#4", "nop_gbps": "25,100"})
+        unshared = [s.build() for s in space.candidates()]
+        walked = PricingRequest.from_pairs(
+            pair for built in unshared
+            for pair in builds_request([built]).pairs)
+        assert builds_request(unshared) == walked
+        assert builds_request(build_scenarios(space.candidates())) == walked
+
+    def test_build_scenarios_shares_workloads_and_packages(self):
+        scenarios = scenario_grid(tolerances=[1.0, 1.1],
+                                  nop_gbps=[25.0, 100.0],
+                                  workloads=["default", "lores"],
+                                  dram_gbps=[None, 6.0],
+                                  topologies=[None, "torus"],
+                                  heteros=[None, "trunk:ws#4"])
+        builds = build_scenarios(scenarios)
+        assert len({id(b.workload) for b in builds}) == 2
+        assert len({id(b.package) for b in builds}) == 8
+        for scenario, built in zip(scenarios, builds):
+            alone = scenario.build()
+            assert built.scenario is scenario
+            assert built.config == alone.config
+            assert built.dram == alone.dram
+            assert built.dram_bytes_per_frame == alone.dram_bytes_per_frame
+            assert built.workload.all_layers() == alone.workload.all_layers()
+            assert built.package == alone.package
+
+    def test_bench_space_does_per_class_work_once(self, monkeypatch):
+        import repro.design.search as search
+        import repro.sweep.scenario as scenario_module
+
+        bench = _bench_design_module()
+        space = DesignSpace.from_axis_texts(bench.AXIS_TEXTS)
+        calls = {"workload": 0, "proxy": 0, "request": 0}
+        ranked_workload_builds = []
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        class MaterializeSweep(ScenarioSweep):
+            def run(self):
+                ranked_workload_builds.append(calls["workload"])
+                return super().run()
+
+        monkeypatch.setattr(scenario_module, "build_perception_workload",
+                            counted("workload",
+                                    scenario_module.build_perception_workload))
+        monkeypatch.setattr(search, "proxy_objectives",
+                            counted("proxy", search.proxy_objectives))
+        monkeypatch.setattr(search, "builds_request",
+                            counted("request", search.builds_request))
+        monkeypatch.setattr(search, "ScenarioSweep", MaterializeSweep)
+        for _ in range(2):  # no memo may survive from one run to the next
+            calls.update(workload=0, proxy=0, request=0)
+            ranked_workload_builds.clear()
+            _cold()
+            result = DesignSearch(space, bench.TARGETS).run()
+            assert ranked_workload_builds == [2]
+            assert calls["proxy"] == 32
+            assert calls["request"] == 1
+            assert result.priced_pairs == 1368
+            stats = result.stats()
+            assert (stats["candidates"], stats["pruned"],
+                    stats["dominated"], stats["frontier"]) \
+                == (256, 176, 72, 8)

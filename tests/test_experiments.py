@@ -1,8 +1,9 @@
 """Reproduction-band tests: every paper table/figure driver.
 
 Each test asserts the *shape* the paper reports — who wins, by roughly what
-factor, where crossovers fall — per the reproduction contract in
-EXPERIMENTS.md.
+factor, where crossovers fall.  These bands are the reproduction contract;
+``test_calibration_snapshot.py`` pins our own calibrated values tightly, and
+``chiplet-npu report`` renders every driver's measured output.
 """
 
 import pytest
